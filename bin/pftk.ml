@@ -665,77 +665,30 @@ let bench_batch_cmd =
 
 (* --- experiment drivers --------------------------------------------------- *)
 
-let hour_duration quick = if quick then 600. else 3600.
-let batch_count quick = if quick then 30 else 100
+(* One subcommand per registry entry; `all` runs the same entries in
+   order, so an artifact prints the same bytes either way. *)
+let artifact_cmds =
+  List.map
+    (fun (e : Pftk_experiments.Registry.entry) ->
+      let run seed quick jobs = e.run ~seed ~quick ~jobs ppf in
+      Cmd.v (Cmd.info e.name ~doc:e.doc)
+        Term.(const run $ seed_arg $ quick_arg $ jobs_arg))
+    Pftk_experiments.Registry.all
 
-let table1_cmd =
-  let run () = Pftk_experiments.Table1.print ppf in
-  Cmd.v (Cmd.info "table1" ~doc:"Table I: measurement hosts.") Term.(const run $ const ())
-
-let table2_cmd =
+let all_cmd =
   let run seed quick jobs =
-    Pftk_experiments.Table2.(
-      print ppf (generate ~seed ~duration:(hour_duration quick) ~jobs ()))
+    List.iter
+      (fun (e : Pftk_experiments.Registry.entry) -> e.run ~seed ~quick ~jobs ppf)
+      Pftk_experiments.Registry.all
   in
+  Cmd.v (Cmd.info "all" ~doc:"Regenerate every table and figure.")
+    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
+
+let ablations_cmd =
+  let run () = Pftk_experiments.Ablations.print ppf in
   Cmd.v
-    (Cmd.info "table2" ~doc:"Table II: 1-hour trace summaries, sim vs paper.")
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
-
-let fig7_cmd =
-  let run seed quick jobs =
-    Pftk_experiments.Fig7.(
-      print ppf (generate ~seed ~duration:(hour_duration quick) ~jobs ()))
-  in
-  Cmd.v (Cmd.info "fig7" ~doc:"Fig. 7: interval scatter vs model curves.")
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
-
-let fig8_cmd =
-  let run seed quick jobs =
-    Pftk_experiments.Fig8.(
-      print ppf (generate ~seed ~count:(batch_count quick) ~jobs ()))
-  in
-  Cmd.v (Cmd.info "fig8" ~doc:"Fig. 8: 100-s traces vs model predictions.")
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
-
-let fig9_cmd =
-  let run seed quick jobs =
-    Pftk_experiments.Fig9.(
-      print ppf ~title:"Fig. 9: Comparison of the models for 1-h traces"
-        (generate ~seed ~duration:(hour_duration quick) ~jobs ()))
-  in
-  Cmd.v (Cmd.info "fig9" ~doc:"Fig. 9: average error on 1-hour traces.")
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
-
-let fig10_cmd =
-  let run seed quick jobs =
-    Pftk_experiments.Fig10.(
-      print ppf (generate ~seed ~count:(batch_count quick) ~jobs ()))
-  in
-  Cmd.v (Cmd.info "fig10" ~doc:"Fig. 10: average error on 100-s traces.")
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
-
-let fig11_cmd =
-  let run seed quick jobs =
-    let duration = if quick then 900. else 3600. in
-    Pftk_experiments.Fig11.(
-      print ppf
-        (generate ~seed ~wide_duration:duration ~modem_duration:duration ~jobs
-           ()))
-  in
-  Cmd.v (Cmd.info "fig11" ~doc:"Fig. 11 / Sec. IV: modem correlation study.")
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
-
-let fig12_cmd =
-  let run seed quick jobs =
-    let mc_duration = if quick then 5_000. else 30_000. in
-    Pftk_experiments.Fig12.(print ppf (generate ~seed ~mc_duration ~jobs ()))
-  in
-  Cmd.v (Cmd.info "fig12" ~doc:"Fig. 12: full model vs numerical Markov model.")
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
-
-let fig13_cmd =
-  let run () = Pftk_experiments.Fig13.(print ppf (generate ())) in
-  Cmd.v (Cmd.info "fig13" ~doc:"Fig. 13: throughput vs send rate.")
+    (Cmd.info "ablations"
+       ~doc:"Ablation studies of the model's and the simulators' design choices.")
     Term.(const run $ const ())
 
 let timeline_cmd =
@@ -786,64 +739,6 @@ let timeline_cmd =
     (Cmd.info "timeline"
        ~doc:"tcptrace-style views of a (simulated or saved) connection.")
     Term.(const run $ seed_arg $ trace_arg)
-
-let convergence_cmd =
-  let run seed quick jobs =
-    Pftk_experiments.Convergence.(
-      print ppf (generate ~seed ~duration:(hour_duration quick) ~jobs ()))
-  in
-  Cmd.v
-    (Cmd.info "convergence"
-       ~doc:
-         "Streaming estimation over the Table II paths: when do the live \
-          estimates settle to the final summary?")
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
-
-let validate_cmd =
-  let run seed quick jobs =
-    Pftk_experiments.Validation.(
-      print ppf
-        (generate ~seed ~duration:(if quick then 300. else 900.) ~jobs ()))
-  in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:"Model vs the packet-level Reno simulator across loss rates.")
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
-
-let fairness_cmd =
-  let run seed quick jobs =
-    let scenarios =
-      if quick then
-        [
-          {
-            Pftk_experiments.Fairness.label = "3 reno + 1 tfrc";
-            reno_flows = 3;
-            tfrc_flows = 1;
-            duration = 60.;
-          };
-        ]
-      else Pftk_experiments.Fairness.default_scenarios
-    in
-    Pftk_experiments.Fairness.(print ppf (generate ~seed ~scenarios ~jobs ()))
-  in
-  Cmd.v
-    (Cmd.info "fairness"
-       ~doc:"TCP-friendliness of an equation-paced flow at a shared bottleneck.")
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
-
-let sensitivity_cmd =
-  let run () =
-    Pftk_experiments.Sensitivity.(print ppf (elasticities ()))
-  in
-  Cmd.v
-    (Cmd.info "sensitivity" ~doc:"Input elasticities of the full model.")
-    Term.(const run $ const ())
-
-let figwindow_cmd =
-  let run seed = Pftk_experiments.Fig_window.(print ppf (generate ~seed ())) in
-  Cmd.v
-    (Cmd.info "figwindow" ~doc:"Figs. 1/3/5: window-evolution sample paths.")
-    Term.(const run $ seed_arg)
 
 (* --- mean-field backend --------------------------------------------------- *)
 
@@ -927,112 +822,94 @@ let meanfield_cmd =
     in
     Arg.(value & opt float 0. & info [ "max-solver-seconds" ] ~docv:"SECONDS" ~doc)
   in
-  let cross_validate_arg =
-    let doc =
-      "Run the netsim cross-validation instead: N = 2..64 reno flows \
-       through the packet-level shared bottleneck vs the same scenarios \
-       under the mean-field solver, with per-flow goodput relative errors."
-    in
-    Arg.(value & flag & info [ "cross-validate" ] ~doc)
-  in
   let run flows capacity base_rtt buffer law red_min red_max red_maxp
       red_weight constant_p rate_law damping b wm equilibrium_only
-      max_solver_seconds cross_validate seed quick jobs =
-    if cross_validate then begin
-      let scenarios =
-        if quick then Pftk_experiments.Meanfield_xval.quick_scenarios
-        else Pftk_experiments.Meanfield_xval.default_scenarios
-      in
-      Pftk_experiments.Meanfield_xval.(
-        print ppf (generate ~seed ~scenarios ~jobs ()))
-    end
-    else begin
-      let buffer =
-        if buffer > 0 then buffer
-        else Int.max 8 (int_of_float (capacity *. base_rtt))
-      in
-      let law =
-        match law with
-        | `Droptail -> Queue_law.drop_tail ~capacity:buffer
-        | `Constant -> Queue_law.constant ~p:constant_p
-        | `Red ->
-            let bf = float_of_int buffer in
-            let min_threshold = if red_min > 0. then red_min else bf /. 6. in
-            let max_threshold = if red_max > 0. then red_max else bf /. 2. in
-            Queue_law.red ~weight:red_weight ~max_probability:red_maxp
-              ~capacity:buffer ~min_threshold ~max_threshold ()
-      in
-      let cfg =
-        {
-          (Solver.default ~flows ~capacity ~base_rtt ~law) with
-          Solver.b;
-          wm;
-          rate_law;
-          damping;
-        }
-      in
-      let t_start = Unix.gettimeofday () in
-      let eq = Solver.solve cfg in
-      let solver_seconds = Unix.gettimeofday () -. t_start in
-      Format.fprintf ppf "Mean-field equilibrium (%d flows)@." flows;
-      Format.fprintf ppf "  law: %s@."
-        (match law with
-        | Queue_law.Drop_tail c -> Printf.sprintf "droptail(buffer=%d pkt)" c
-        | Queue_law.Constant p -> Printf.sprintf "constant(p=%g)" p
-        | Queue_law.Red r ->
-            Printf.sprintf
-              "red(buffer=%d pkt, min=%g, max=%g, maxp=%g, weight=%g)"
-              r.Queue_law.red_capacity r.Queue_law.min_threshold
-              r.Queue_law.max_threshold r.Queue_law.max_probability
-              r.Queue_law.weight);
-      Format.fprintf ppf "  loss probability p:  %.6f@." eq.Solver.p;
-      Format.fprintf ppf "  queue occupancy:     %.1f pkt@." eq.Solver.queue;
-      Format.fprintf ppf "  rtt:                 %.4f s@." eq.Solver.rtt;
-      Format.fprintf ppf "  per-flow rate:       %.2f pkt/s@."
-        eq.Solver.per_flow_rate;
-      Format.fprintf ppf "  per-flow goodput:    %.2f pkt/s@."
-        eq.Solver.per_flow_goodput;
-      Format.fprintf ppf "  utilization:         %.3f@." eq.Solver.utilization;
-      Format.fprintf ppf "  window-limited:      %s@."
-        (if eq.Solver.window_limited then "yes" else "no");
-      (match eq.Solver.outcome with
-      | Solver.Converged ->
+      max_solver_seconds =
+    let buffer =
+      if buffer > 0 then buffer
+      else Int.max 8 (int_of_float (capacity *. base_rtt))
+    in
+    let law =
+      match law with
+      | `Droptail -> Queue_law.drop_tail ~capacity:buffer
+      | `Constant -> Queue_law.constant ~p:constant_p
+      | `Red ->
+          let bf = float_of_int buffer in
+          let min_threshold = if red_min > 0. then red_min else bf /. 6. in
+          let max_threshold = if red_max > 0. then red_max else bf /. 2. in
+          Queue_law.red ~weight:red_weight ~max_probability:red_maxp
+            ~capacity:buffer ~min_threshold ~max_threshold ()
+    in
+    let cfg =
+      {
+        (Solver.default ~flows ~capacity ~base_rtt ~law) with
+        Solver.b;
+        wm;
+        rate_law;
+        damping;
+      }
+    in
+    let t_start = Unix.gettimeofday () in
+    let eq = Solver.solve cfg in
+    let solver_seconds = Unix.gettimeofday () -. t_start in
+    Format.fprintf ppf "Mean-field equilibrium (%d flows)@." flows;
+    Format.fprintf ppf "  law: %s@."
+      (match law with
+      | Queue_law.Drop_tail c -> Printf.sprintf "droptail(buffer=%d pkt)" c
+      | Queue_law.Constant p -> Printf.sprintf "constant(p=%g)" p
+      | Queue_law.Red r ->
+          Printf.sprintf
+            "red(buffer=%d pkt, min=%g, max=%g, maxp=%g, weight=%g)"
+            r.Queue_law.red_capacity r.Queue_law.min_threshold
+            r.Queue_law.max_threshold r.Queue_law.max_probability
+            r.Queue_law.weight);
+    Format.fprintf ppf "  loss probability p:  %.6f@." eq.Solver.p;
+    Format.fprintf ppf "  queue occupancy:     %.1f pkt@." eq.Solver.queue;
+    Format.fprintf ppf "  rtt:                 %.4f s@." eq.Solver.rtt;
+    Format.fprintf ppf "  per-flow rate:       %.2f pkt/s@."
+      eq.Solver.per_flow_rate;
+    Format.fprintf ppf "  per-flow goodput:    %.2f pkt/s@."
+      eq.Solver.per_flow_goodput;
+    Format.fprintf ppf "  utilization:         %.3f@." eq.Solver.utilization;
+    Format.fprintf ppf "  window-limited:      %s@."
+      (if eq.Solver.window_limited then "yes" else "no");
+    (match eq.Solver.outcome with
+    | Solver.Converged ->
+        Format.fprintf ppf
+          "  solver: converged in %d iterations (residual %.2e pkt, loop \
+           gain %.2f)@."
+          eq.Solver.iterations eq.Solver.residual eq.Solver.loop_gain
+    | Solver.Oscillating amplitude ->
+        Format.fprintf ppf
+          "  solver: no fixed point after %d iterations (queue bouncing \
+           +-%.1f pkt, loop gain %.2f)@."
+          eq.Solver.iterations amplitude eq.Solver.loop_gain);
+    if not equilibrium_only then begin
+      let d = Dynamics.run (Dynamics.default cfg) in
+      (match d.Dynamics.verdict with
+      | Dynamics.Stable ->
+          Format.fprintf ppf "  verdict: stable (queue settles at %.1f pkt)@."
+            d.Dynamics.mean_queue
+      | Dynamics.Oscillating { Dynamics.amplitude; period } ->
           Format.fprintf ppf
-            "  solver: converged in %d iterations (residual %.2e pkt, loop \
-             gain %.2f)@."
-            eq.Solver.iterations eq.Solver.residual eq.Solver.loop_gain
-      | Solver.Oscillating amplitude ->
-          Format.fprintf ppf
-            "  solver: no fixed point after %d iterations (queue bouncing \
-             +-%.1f pkt, loop gain %.2f)@."
-            eq.Solver.iterations amplitude eq.Solver.loop_gain);
-      if not equilibrium_only then begin
-        let d = Dynamics.run (Dynamics.default cfg) in
-        (match d.Dynamics.verdict with
-        | Dynamics.Stable ->
-            Format.fprintf ppf "  verdict: stable (queue settles at %.1f pkt)@."
-              d.Dynamics.mean_queue
-        | Dynamics.Oscillating { Dynamics.amplitude; period } ->
-            Format.fprintf ppf
-              "  verdict: oscillating (amplitude %.1f pkt%s — RED \
-               instability)@."
-              amplitude
-              (if period > 0. then Printf.sprintf ", period %.2f s" period
-               else ""));
-        Format.fprintf ppf "  dynamics: queue %.1f..%.1f pkt, mean window %.1f \
-                            pkt, mean goodput %.2f pkt/s@."
-          d.Dynamics.queue_min d.Dynamics.queue_max d.Dynamics.mean_window
-          d.Dynamics.mean_goodput
-      end;
-      (* Timing to stderr so stdout stays byte-comparable across runs. *)
-      Format.eprintf "solver time: %.6f s (%.3g flows/s)@." solver_seconds
-        (float_of_int flows /. Float.max 1e-9 solver_seconds);
-      if max_solver_seconds > 0. && solver_seconds > max_solver_seconds then begin
-        Format.eprintf
-          "pftk meanfield: solver took %.3f s, over the %.3f s budget@."
-          solver_seconds max_solver_seconds;
-        exit 1
-      end
+            "  verdict: oscillating (amplitude %.1f pkt%s — RED \
+             instability)@."
+            amplitude
+            (if period > 0. then Printf.sprintf ", period %.2f s" period
+             else ""));
+      Format.fprintf ppf "  dynamics: queue %.1f..%.1f pkt, mean window %.1f \
+                          pkt, mean goodput %.2f pkt/s@."
+        d.Dynamics.queue_min d.Dynamics.queue_max d.Dynamics.mean_window
+        d.Dynamics.mean_goodput
+    end;
+    (* Timing to stderr so stdout stays byte-comparable across runs. *)
+    Format.eprintf "solver time: %.6f s (%.3g flows/s)@." solver_seconds
+      (float_of_int flows /. Float.max 1e-9 solver_seconds);
+    if max_solver_seconds > 0. && solver_seconds > max_solver_seconds then begin
+      Format.eprintf
+        "pftk meanfield: solver took %.3f s, over the %.3f s budget@."
+        solver_seconds max_solver_seconds;
+      exit 1
     end
   in
   let doc =
@@ -1065,82 +942,7 @@ let meanfield_cmd =
       const run $ flows_arg $ capacity_arg $ base_rtt_arg $ buffer_arg
       $ law_arg $ red_min_arg $ red_max_arg $ red_maxp_arg $ red_weight_arg
       $ constant_p_arg $ rate_law_arg $ damping_arg $ b_arg $ wm_arg
-      $ equilibrium_only_arg $ max_solver_seconds_arg $ cross_validate_arg
-      $ seed_arg $ quick_arg $ jobs_arg)
-
-let redstability_cmd =
-  let run quick jobs =
-    let cells =
-      if quick then Pftk_experiments.Red_stability.quick_cells
-      else Pftk_experiments.Red_stability.default_cells
-    in
-    Pftk_experiments.Red_stability.(print ppf (generate ~cells ~jobs ()))
-  in
-  Cmd.v
-    (Cmd.info "redstability"
-       ~doc:
-         "RED stability boundary: stable vs oscillating mean-field regimes \
-          over an EWMA-weight x capacity x population sweep.")
-    Term.(const run $ quick_arg $ jobs_arg)
-
-let all_cmd =
-  let run seed quick jobs =
-    Pftk_experiments.Table1.print ppf;
-    Pftk_experiments.Table2.(
-      print ppf (generate ~seed ~duration:(hour_duration quick) ~jobs ()));
-    Pftk_experiments.Fig_window.(print ppf (generate ~seed ()));
-    Pftk_experiments.Fig7.(
-      print ppf (generate ~seed ~duration:(hour_duration quick) ~jobs ()));
-    Pftk_experiments.Fig8.(
-      print ppf (generate ~seed ~count:(batch_count quick) ~jobs ()));
-    Pftk_experiments.Fig9.(
-      print ppf ~title:"Fig. 9: Comparison of the models for 1-h traces"
-        (generate ~seed ~duration:(hour_duration quick) ~jobs ()));
-    Pftk_experiments.Fig10.(
-      print ppf (generate ~seed ~count:(batch_count quick) ~jobs ()));
-    (let duration = if quick then 900. else 3600. in
-     Pftk_experiments.Fig11.(
-       print ppf
-         (generate ~seed ~wide_duration:duration ~modem_duration:duration ~jobs
-            ())));
-    Pftk_experiments.Fig12.(
-      print ppf
-        (generate ~seed ~mc_duration:(if quick then 5_000. else 30_000.) ~jobs ()));
-    Pftk_experiments.Fig13.(print ppf (generate ()));
-    Pftk_experiments.Validation.(
-      print ppf (generate ~seed ~duration:(if quick then 300. else 900.) ~jobs ()));
-    Pftk_experiments.Convergence.(
-      print ppf (generate ~seed ~duration:(hour_duration quick) ~jobs ()));
-    Pftk_experiments.Window_dist.(
-      print ppf
-        (generate ~seed ~rounds:(if quick then 50_000 else 200_000) ~jobs ()));
-    Pftk_experiments.Sensitivity.(print ppf (elasticities ()));
-    Pftk_experiments.Fairness.(
-      print ppf
-        (generate ~seed
-           ~scenarios:
-             (if quick then
-                [
-                  {
-                    label = "3 reno + 1 tfrc";
-                    reno_flows = 3;
-                    tfrc_flows = 1;
-                    duration = 60.;
-                  };
-                ]
-              else default_scenarios)
-           ~jobs ()));
-    Pftk_experiments.Meanfield_xval.(
-      print ppf
-        (generate ~seed
-           ~scenarios:(if quick then quick_scenarios else default_scenarios)
-           ~jobs ()));
-    Pftk_experiments.Red_stability.(
-      print ppf
-        (generate ~cells:(if quick then quick_cells else default_cells) ~jobs ()))
-  in
-  Cmd.v (Cmd.info "all" ~doc:"Regenerate every table and figure.")
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg)
+      $ equilibrium_only_arg $ max_solver_seconds_arg)
 
 let main_cmd =
   let doc =
@@ -1148,37 +950,24 @@ let main_cmd =
      experiments."
   in
   Cmd.group (Cmd.info "pftk" ~version:"1.0.0" ~doc)
-    [
-      rate_cmd;
-      throughput_cmd;
-      inverse_cmd;
-      sweep_cmd;
-      latency_cmd;
-      tfrc_cmd;
-      simulate_cmd;
-      analyze_cmd;
-      live_cmd;
-      serve_cmd;
-      bench_batch_cmd;
-      selfcheck_cmd;
-      convergence_cmd;
-      table1_cmd;
-      table2_cmd;
-      fig7_cmd;
-      fig8_cmd;
-      fig9_cmd;
-      fig10_cmd;
-      fig11_cmd;
-      fig12_cmd;
-      fig13_cmd;
-      figwindow_cmd;
-      timeline_cmd;
-      validate_cmd;
-      fairness_cmd;
-      sensitivity_cmd;
-      meanfield_cmd;
-      redstability_cmd;
-      all_cmd;
-    ]
+    ([
+       rate_cmd;
+       throughput_cmd;
+       inverse_cmd;
+       sweep_cmd;
+       latency_cmd;
+       tfrc_cmd;
+       simulate_cmd;
+       analyze_cmd;
+       live_cmd;
+       serve_cmd;
+       bench_batch_cmd;
+       selfcheck_cmd;
+       timeline_cmd;
+       meanfield_cmd;
+       ablations_cmd;
+       all_cmd;
+     ]
+    @ artifact_cmds)
 
 let () = exit (Cmd.eval main_cmd)

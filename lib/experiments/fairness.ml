@@ -22,6 +22,9 @@ let default_scenarios =
     { label = "2 reno + 2 tfrc"; reno_flows = 2; tfrc_flows = 2; duration = 300. };
   ]
 
+let quick_scenarios =
+  [ { label = "3 reno + 1 tfrc"; reno_flows = 3; tfrc_flows = 1; duration = 60. } ]
+
 let mean = function
   | [] -> 0.
   | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)

@@ -24,6 +24,9 @@ type outcome = {
 val default_scenarios : scenario list
 (** Reno-only baseline (3 flows), 3 Reno + 1 TFRC, 2 Reno + 2 TFRC. *)
 
+val quick_scenarios : scenario list
+(** 3 Reno + 1 TFRC over 60 s, for smoke runs. *)
+
 val evaluate : ?seed:int64 -> scenario -> outcome
 
 val generate :

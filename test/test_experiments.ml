@@ -322,6 +322,48 @@ let test_table1_prints () =
   Alcotest.(check bool) "mentions manic" true (contains out "manic");
   Alcotest.(check bool) "mentions att.com" true (contains out "att.com")
 
+(* --- Registry: one list drives every front end ------------------------------------------ *)
+
+let read_file path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Runs the CLI and returns its stdout, failing the test on a nonzero
+   exit.  Stdout goes through a temporary file, removed afterwards. *)
+let run_pftk args =
+  let out = Filename.temp_file "pftk" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/pftk.exe %s 1>%s 2>/dev/null" args
+             (Filename.quote out))
+      in
+      Alcotest.(check int) (Printf.sprintf "pftk %s exits 0" args) 0 code;
+      read_file out)
+
+let all_quick_j4 = lazy (run_pftk "all --quick --jobs 4")
+
+let test_all_jobs_identity () =
+  Alcotest.(check string)
+    "all --quick byte-identical across --jobs"
+    (run_pftk "all --quick --jobs 1")
+    (Lazy.force all_quick_j4)
+
+(* `pftk all` is the registry entries' subcommands back to back: no
+   artifact has a second, drifting parameter set in one of them. *)
+let test_all_is_concatenation () =
+  let parts =
+    List.map
+      (fun (e : Registry.entry) -> run_pftk (e.name ^ " --quick --jobs 4"))
+      Registry.all
+  in
+  Alcotest.(check string) "all = concatenated subcommands"
+    (String.concat "" parts) (Lazy.force all_quick_j4)
+
 let () =
   Alcotest.run "pftk_experiments"
     [
@@ -373,4 +415,9 @@ let () =
           case "sawtooth" test_fig_window_sawtooth;
         ] );
       ("table1", [ case "prints hosts" test_table1_prints ]);
+      ( "registry",
+        [
+          slow_case "all identical across jobs" test_all_jobs_identity;
+          slow_case "all is the subcommands in order" test_all_is_concatenation;
+        ] );
     ]

@@ -96,6 +96,6 @@ phase "meanfield smoke: 100000-flow equilibrium under 0.5s" \
   --max-solver-seconds 0.5
 
 phase "meanfield smoke: netsim cross-validation (quick)" \
-  dune exec --profile release bin/pftk.exe -- meanfield --cross-validate --quick
+  dune exec --profile release bin/pftk.exe -- meanfield-xval --quick
 
 say "all checks passed"

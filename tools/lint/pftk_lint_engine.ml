@@ -11,8 +11,8 @@ open Parsetree
 
 (* The finding record, its renderings, the path-zone tests and the
    [@lint.allow] machinery are shared by all three analyzers; see
-   pftk_findings.mli.  Re-exported here so existing consumers (tests,
-   the bench gate) keep their spelling. *)
+   pftk_findings.mli.  Re-exported here so existing consumers (the
+   tests) keep their spelling. *)
 type finding = Pftk_findings.finding = {
   file : string;
   line : int;
