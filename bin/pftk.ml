@@ -535,7 +535,10 @@ let serve_cmd =
        stream; the exit status is nonzero only when every input line \
        failed.  Input lines are capped at %d bytes: a longer line is \
        rejected (never evaluated) with a diagnostic naming its observed \
-       length."
+       length.  Answers are written once --chunk lines are pending and \
+       whenever the input pauses, so a client on a pipe gets each answer \
+       without closing the stream; a regular file is answered in --chunk \
+       batches."
       Pftk_batch.Serve.max_line_bytes
   in
   Cmd.v (Cmd.info "serve" ~doc)

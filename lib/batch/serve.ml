@@ -33,11 +33,12 @@ let number idx s =
 
 let ( let* ) = Result.bind
 
+let line_too_long len =
+  Printf.sprintf "line exceeds %d bytes (got %d)" max_line_bytes len
+
 let parse_line line =
   if String.length line > max_line_bytes then
-    Error
-      (Printf.sprintf "line exceeds %d bytes (got %d)" max_line_bytes
-         (String.length line))
+    Error (line_too_long (String.length line))
   else
     match split_fields line with
     | [] -> Error "empty line"

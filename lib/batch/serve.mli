@@ -31,6 +31,10 @@ val max_line_bytes : int
     length, bounding per-line work for untrusted input.  A line of
     exactly [max_line_bytes] bytes is still accepted. *)
 
+val line_too_long : int -> string
+(** [line_too_long len] is the diagnostic for a line of [len >
+    max_line_bytes] bytes. *)
+
 val sentinel : string
 (** ["nan"]: the output line for a rejected input line. *)
 

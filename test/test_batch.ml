@@ -2,13 +2,16 @@
    output for any [jobs]/[chunk]), empty and single-row groups, the
    hoisted domain scan (first-bad-row index and scalar-exact messages),
    kernel-vs-scalar bit-equality on a pinned grid, the batched inverse
-   against the scalar bisection, validation caching, and the
-   [pftk serve --batch] CLI error contract. *)
+   against the scalar bisection, validation caching, the
+   [pftk serve --batch] CLI error contract, and [Stream.run]'s reader:
+   answers before EOF, framing invariance, bounded memory. *)
 
 module Columns = Pftk_batch.Columns
 module Scan = Pftk_batch.Scan
 module Kernel = Pftk_batch.Kernel
 module Engine = Pftk_batch.Engine
+module Serve = Pftk_batch.Serve
+module Stream = Pftk_batch.Stream
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -392,6 +395,208 @@ let test_serve_batch_equals_scalar () =
       Alcotest.(check string) (model ^ ": batch = scalar stream") scalar batch)
     [ "full"; "full-approx-q"; "approximate"; "td-only"; "tfrc" ]
 
+(* --- Stream.run's reader ---------------------------------------------------- *)
+
+let full = Kernel.make ~b:2 Kernel.Full
+
+(* Every framing case of the protocol: CRLF lines, blank lines, a line
+   of exactly [max_line_bytes] (its '\r' included), one a byte longer,
+   a parse reject and a final line with no newline. *)
+let framing_fixture =
+  let cap = Serve.max_line_bytes in
+  let pad query n = query ^ String.make (n - String.length query) ' ' in
+  String.concat ""
+    [
+      "0.02 0.1 0.4 32\r\n";
+      "\n";
+      "  \r\n";
+      "0.01 0.2 0.8 0\r\n";
+      pad "0.05 0.3 1.2 8" (cap - 1) ^ "\r\n";
+      pad "0.02 0.1 0.4 32" (cap + 1) ^ "\n";
+      "bad\r\n";
+      "0.03 0.15 0.6 16";
+    ]
+
+(* What the line-at-a-time reader ([input_line]) answered for the
+   fixture, at every chunk and jobs value. *)
+let framing_stdout =
+  "50.854555400963768\n\
+   nan\n\
+   nan\n\
+   38.923227685621768\n\
+   8.9047064171355732\n\
+   nan\n\
+   nan\n\
+   25.841255070005136\n"
+
+let framing_stderr =
+  "pftk serve: line 2: empty line\n\
+   pftk serve: line 3: empty line\n\
+   pftk serve: line 6: line exceeds 4096 bytes (got 4097)\n\
+   pftk serve: line 7: expected 4 fields (p rtt t0 wm), got 1\n"
+
+(* Runs [Stream.run] with [ic] as input, answers and diagnostics into
+   files; returns the outcome, stdout and stderr. *)
+let stream_to_files ~jobs ~chunk ic =
+  let oc = open_out_bin "stream_out.txt" and err = open_out_bin "stream_err.txt" in
+  let o =
+    Fun.protect
+      ~finally:(fun () ->
+        close_out oc;
+        close_out err)
+      (fun () -> Stream.run ~jobs ~chunk full ic oc ~err)
+  in
+  (o, read_file "stream_out.txt", read_file "stream_err.txt")
+
+(* [text] cut into seeded random pieces of 1-97 bytes, with a cut
+   between every '\r' and the byte after it. *)
+let random_pieces ~seed text =
+  let rng = Random.State.make [| seed |] in
+  let n = String.length text in
+  let rec go acc pos =
+    if pos >= n then List.rev acc
+    else
+      let len = min (n - pos) (1 + Random.State.int rng 97) in
+      let len =
+        match String.index_from_opt text pos '\r' with
+        | Some r when r < pos + len -> r + 1 - pos
+        | _ -> len
+      in
+      go (String.sub text pos len :: acc) (pos + len)
+  in
+  go [] 0
+
+(* The fixture written into a pipe piece by piece, with a short pause
+   after each write so the server's reads (almost always) see the same
+   cuts; the output must not depend on them either way. *)
+let stream_through_pipe ~jobs ~chunk ~seed text =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let server =
+    Domain.spawn (fun () ->
+        let ic = Unix.in_channel_of_descr r in
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> stream_to_files ~jobs ~chunk ic))
+  in
+  List.iter
+    (fun piece ->
+      ignore (Unix.write_substring w piece 0 (String.length piece));
+      Unix.sleepf 0.0005)
+    (random_pieces ~seed text);
+  Unix.close w;
+  Domain.join server
+
+let test_stream_framing_invariance () =
+  write_file "framing.txt" framing_fixture;
+  List.iter
+    (fun (chunk, jobs) ->
+      let check how (o, out, err) =
+        let label what = Printf.sprintf "%s, chunk %d, jobs %d: %s" how chunk jobs what in
+        Alcotest.(check string) (label "stdout") framing_stdout out;
+        Alcotest.(check string) (label "stderr") framing_stderr err;
+        Alcotest.(check (pair int int)) (label "total, failed") (8, 4)
+          (o.Stream.total, o.Stream.failed)
+      in
+      let ic = open_in_bin "framing.txt" in
+      check "file"
+        (Fun.protect
+           ~finally:(fun () -> close_in ic)
+           (fun () -> stream_to_files ~jobs ~chunk ic));
+      check "pipe"
+        (stream_through_pipe ~jobs ~chunk ~seed:(chunk + jobs) framing_fixture))
+    [ (1, 1); (1, 2); (3, 1); (3, 2); (65536, 1); (65536, 2) ]
+
+(* The protocol is interactive: a client that writes one query and
+   waits for its answer gets it while the stream is still open.  Each
+   answer must arrive within 5 s of its query. *)
+let test_stream_answers_before_eof () =
+  let q_r, q_w = Unix.pipe ~cloexec:true () in
+  let a_r, a_w = Unix.pipe ~cloexec:true () in
+  let server =
+    Domain.spawn (fun () ->
+        let ic = Unix.in_channel_of_descr q_r
+        and oc = Unix.out_channel_of_descr a_w
+        and err = open_out_bin "interactive_err.txt" in
+        Fun.protect
+          ~finally:(fun () ->
+            close_in ic;
+            close_out oc;
+            close_out err)
+          (fun () -> Stream.run ~jobs:2 full ic oc ~err))
+  in
+  let answers = Buffer.create 256 and bytes = Bytes.create 256 in
+  let newlines () =
+    String.fold_left (fun n ch -> if ch = '\n' then n + 1 else n) 0
+      (Buffer.contents answers)
+  in
+  let give_up msg =
+    Unix.close q_w;
+    ignore (Domain.join server);
+    Unix.close a_r;
+    Alcotest.fail msg
+  in
+  let await_lines n =
+    let deadline = Unix.gettimeofday () +. 5. in
+    while newlines () < n do
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0. then give_up (Printf.sprintf "no answer %d within 5 s" n);
+      match Unix.select [ a_r ] [] [] left with
+      | [], _, _ -> give_up (Printf.sprintf "no answer %d within 5 s" n)
+      | _ ->
+          let k = Unix.read a_r bytes 0 (Bytes.length bytes) in
+          if k = 0 then give_up "answers ended early";
+          Buffer.add_subbytes answers bytes 0 k
+    done
+  in
+  let queries = [ "0.02 0.1 0.4 32\n"; "0.02 -1 0.4 32\n"; "0.01 0.2 0.8 0\n" ] in
+  List.iteri
+    (fun i q ->
+      ignore (Unix.write_substring q_w q 0 (String.length q));
+      await_lines (i + 1))
+    queries;
+  Unix.close q_w;
+  let o = Domain.join server in
+  Unix.close a_r;
+  let rate ~p ~rtt ~t0 ~wm =
+    Serve.format_rate (Kernel.scalar_reference full ~p ~rtt ~t0 ~wm)
+  in
+  Alcotest.(check string) "answers"
+    (String.concat "\n"
+       [
+         rate ~p:0.02 ~rtt:0.1 ~t0:0.4 ~wm:32.;
+         Serve.sentinel;
+         rate ~p:0.01 ~rtt:0.2 ~t0:0.8 ~wm:Columns.unlimited_wm;
+         "";
+       ])
+    (Buffer.contents answers);
+  Alcotest.(check (pair int int)) "total, failed" (3, 1) (o.Stream.total, o.Stream.failed);
+  Alcotest.(check string) "diagnostic"
+    "pftk serve: line 2: Params: rtt must be positive\n"
+    (read_file "interactive_err.txt")
+
+(* A 4 MiB line with no newline: one sentinel, a diagnostic with its
+   exact length, exit 1 -- and the reader keeps only a capped prefix
+   of it, so serving it allocates far less than the line itself. *)
+let test_stream_newline_free_input () =
+  let n = 4 * 1024 * 1024 in
+  let code, out, err = run_serve (String.make n '7') in
+  Alcotest.(check int) "exit 1: the only line failed" 1 code;
+  Alcotest.(check string) "one sentinel" "nan\n" out;
+  Alcotest.(check string) "exact length"
+    (Printf.sprintf "pftk serve: line 1: line exceeds 4096 bytes (got %d)\n" n)
+    err;
+  let ic = open_in_bin "serve_q.txt" in
+  let before = Gc.allocated_bytes () in
+  let o, _, _ =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> stream_to_files ~jobs:1 ~chunk:Engine.default_chunk ic)
+  in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check (pair int int)) "total, failed" (1, 1) (o.Stream.total, o.Stream.failed);
+  if allocated > float_of_int (n / 4) then
+    Alcotest.failf "serving a %d-byte line allocated %.0f bytes" n allocated
+
 let () =
   Alcotest.run "pftk_batch"
     [
@@ -422,5 +627,11 @@ let () =
           case "overlong line" test_serve_overlong_line;
           case "line-cap boundary" test_serve_line_cap_boundary;
           case "batch stream = scalar stream" test_serve_batch_equals_scalar;
+        ] );
+      ( "stream",
+        [
+          case "framing invariance" test_stream_framing_invariance;
+          case "answers before EOF" test_stream_answers_before_eof;
+          case "newline-free input" test_stream_newline_free_input;
         ] );
     ]

@@ -30,7 +30,9 @@
 #                          -- the optimized build the benchmarks use
 #   8. batch smoke         -- timed bench-batch runs on the release
 #                             binary asserting the batch engine's
-#                             speedup floors and bitwise equality
+#                             speedup floors and bitwise equality, and
+#                             an interactive `pftk serve` on a fifo that
+#                             must answer a query before its input closes
 #   9. meanfield smoke     -- the mean-field backend on the release
 #                             binary: a 100000-flow RED equilibrium
 #                             held to a sub-second solver budget, and
@@ -86,6 +88,43 @@ phase "batch smoke: eq. (32) kernel floor 2x" \
 phase "batch smoke: eq. (33) vs scalar full model, floor 6x" \
   dune exec --profile release bin/pftk.exe -- bench-batch \
   --rows 1000000 --model approximate --scalar-model full --min-speedup 6
+
+# `pftk serve` answers as soon as its input pauses: with the fifo's
+# write end held open, one query must be answered within 5 s, and the
+# server must exit 0 once the fifo closes.  Fd 3 opens the fifo
+# read-write, which does not wait for a reader, so a server that fails
+# to start fails the phase instead of hanging it.
+serve_interactive() {
+  dune build --profile release bin/pftk.exe
+  _pftk="$(cd "$(dirname "$0")/../.." && pwd)/_build/default/bin/pftk.exe"
+  _dir=$(mktemp -d)
+  mkfifo "$_dir/in"
+  "$_pftk" serve --file "$_dir/in" >"$_dir/out" 2>"$_dir/err" &
+  _pid=$!
+  exec 3<>"$_dir/in"
+  printf '0.02 0.1 0.4 32\n' >&3
+  _waited=0
+  while [ "$(wc -l <"$_dir/out")" -lt 1 ] && [ "$_waited" -lt 50 ]; do
+    sleep 0.1
+    _waited=$((_waited + 1))
+  done
+  _answered=$(wc -l <"$_dir/out")
+  exec 3>&-
+  _status=0
+  wait "$_pid" || _status=$?
+  cat "$_dir/err" >&2
+  rm -rf "$_dir"
+  if [ "$_answered" -lt 1 ]; then
+    say "pftk serve gave no answer within 5 s of its query"
+    return 1
+  fi
+  if [ "$_status" -ne 0 ]; then
+    say "pftk serve exited $_status"
+    return 1
+  fi
+}
+
+phase "batch smoke: interactive serve answers before EOF" serve_interactive
 
 # The scale promise of the mean-field backend: a 100000-flow RED
 # equilibrium in well under a second (measured ~0.3 ms; the 0.5 s

@@ -158,8 +158,8 @@ let check_ident ctx lid (loc : Location.t) =
            so parallel runs stay reproducible"
     | [ "Sys"; "time" ] | [ "Unix"; "gettimeofday" ] | [ "Unix"; "time" ] ->
         report ctx loc "L2"
-          "wall-clock reading in lib/; timing belongs in bench/, not in model \
-           or experiment code"
+          "wall-clock reading in lib/; timing belongs in bin/ or perfbench/, \
+           not in model or experiment code"
     | [ "Obj"; "magic" ] -> report ctx loc "L5" "Obj.magic defeats the type system"
     | [ "List"; "hd" ] ->
         report ctx loc "L5"
